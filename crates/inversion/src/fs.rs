@@ -236,6 +236,29 @@ pub(crate) struct FsRels {
     pub fileatt_file_idx: RelId,
 }
 
+/// An [`InversionFs`] without its database. Functions registered in the
+/// database's own registry hold this and rebuild the file system from the
+/// calling session's database: holding a whole `InversionFs` there would
+/// make the database own itself, and it would never be freed.
+#[derive(Clone)]
+pub(crate) struct FsParts {
+    rels: FsRels,
+    root: Oid,
+    stats: Arc<InvStats>,
+}
+
+impl FsParts {
+    /// The file system on `db`.
+    pub(crate) fn view(&self, db: &Db) -> InversionFs {
+        InversionFs {
+            db: db.clone(),
+            rels: self.rels,
+            root: self.root,
+            stats: Arc::clone(&self.stats),
+        }
+    }
+}
+
 /// A mounted Inversion file system. Cheap to clone; clones share the
 /// database. One `InversionFs` corresponds to one database — "a single
 /// database corresponds to a mount point in conventional file system
@@ -376,6 +399,16 @@ impl InversionFs {
     /// The underlying database.
     pub fn db(&self) -> &Db {
         &self.db
+    }
+
+    /// Everything but the database, for closures the database itself
+    /// stores (see [`FsParts`]).
+    pub(crate) fn parts(&self) -> FsParts {
+        FsParts {
+            rels: self.rels,
+            root: self.root,
+            stats: Arc::clone(&self.stats),
+        }
     }
 
     /// The root directory's oid.

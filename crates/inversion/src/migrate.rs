@@ -75,13 +75,14 @@ pub fn migrate_file(
 
 /// Registers the `migrate(file, device)` function with the database.
 pub fn register_migration(fs: &InversionFs) -> InvResult<()> {
-    let fs2 = fs.clone();
+    let parts = fs.parts();
     fs.db()
         .functions()
         .register("inversion.migrate", move |s, a| {
             let oid = Oid(a[0].as_oid()?);
             let dev = DeviceId(a[1].as_int()? as u8);
-            migrate_file(&fs2, s, oid, dev)
+            let fs = parts.view(s.db());
+            migrate_file(&fs, s, oid, dev)
                 .map(|_| Datum::Bool(true))
                 .map_err(|e| DbError::Eval(e.to_string()))
         });

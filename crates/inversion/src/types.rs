@@ -311,9 +311,10 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     let troff_type = db.catalog().type_by_name("troff")?;
 
     let image_of = {
-        let fs = fs.clone();
+        let parts = fs.parts();
         let allowed = image_types.clone();
         move |s: &mut minidb::Session, oid: u32| -> Result<Option<SatelliteImage>, DbError> {
+            let fs = parts.view(s.db());
             let stat = fs
                 .stat_oid(s, Oid(oid), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
@@ -330,9 +331,10 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
         }
     };
     let text_of = {
-        let fs = fs.clone();
+        let parts = fs.parts();
         let allowed = text_types.clone();
         move |s: &mut minidb::Session, oid: u32| -> Result<Option<String>, DbError> {
+            let fs = parts.view(s.db());
             let stat = fs
                 .stat_oid(s, Oid(oid), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
@@ -350,8 +352,9 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     };
     let troff_of = {
         let t = text_of.clone();
-        let fs = fs.clone();
+        let parts = fs.parts();
         move |s: &mut minidb::Session, oid: u32| -> Result<Option<String>, DbError> {
+            let fs = parts.view(s.db());
             let stat = fs
                 .stat_oid(s, Oid(oid), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
@@ -472,27 +475,30 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
     }
     // Metadata helpers used by the paper's example queries.
     {
-        let fs2 = fs.clone();
+        let parts = fs.parts();
         reg.register("inversion.owner", move |s, a| {
-            let stat = fs2
+            let stat = parts
+                .view(s.db())
                 .stat_oid(s, Oid(a[0].as_oid()?), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             Ok(Datum::Text(stat.owner))
         });
     }
     {
-        let fs2 = fs.clone();
+        let parts = fs.parts();
         reg.register("inversion.size", move |s, a| {
-            let stat = fs2
+            let stat = parts
+                .view(s.db())
                 .stat_oid(s, Oid(a[0].as_oid()?), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             Ok(Datum::Int8(stat.size as i64))
         });
     }
     {
-        let fs2 = fs.clone();
+        let parts = fs.parts();
         reg.register("inversion.filetype", move |s, a| {
-            let stat = fs2
+            let stat = parts
+                .view(s.db())
                 .stat_oid(s, Oid(a[0].as_oid()?), None)
                 .map_err(|e| DbError::Eval(e.to_string()))?;
             match stat.ftype {
@@ -502,16 +508,17 @@ pub fn register_standard(fs: &InversionFs) -> InvResult<()> {
         });
     }
     {
-        let fs2 = fs.clone();
+        let parts = fs.parts();
         reg.register("inversion.dir", move |s, a| {
             let oid = Oid(a[0].as_oid()?);
             // The directory containing the file: parent of its naming entry.
-            let hits = s.index_scan_eq(fs2.rels.naming_file_idx, &[Datum::Oid(oid.0)])?;
+            let fs = parts.view(s.db());
+            let hits = s.index_scan_eq(fs.rels.naming_file_idx, &[Datum::Oid(oid.0)])?;
             let Some((_, row)) = hits.into_iter().next() else {
                 return Err(DbError::Eval(format!("no naming entry for oid {oid}")));
             };
             let parent = Oid(row[crate::fs::N_PARENTID].as_oid()?);
-            fs2.path_of(s, parent, None)
+            fs.path_of(s, parent, None)
                 .map(Datum::Text)
                 .map_err(|e| DbError::Eval(e.to_string()))
         });

@@ -91,6 +91,26 @@ fn decode_item(item: &[u8]) -> DbResult<(Key, &[u8])> {
     Ok((key, &item[2 + klen..]))
 }
 
+/// Where a new item goes among a node's live `items`, in slot order.
+///
+/// A leaf item goes after every key `<=` its own. A split's fence goes
+/// right after the fence of the child that split (`after`): the new node
+/// is that child's right sibling, and among equal fences — a duplicate key
+/// spanning several leaves — key order alone would put it after all of
+/// them, out of step with the sibling chain. Descents would then route
+/// larger keys to the wrong leaf.
+fn insert_pos(items: &[(Key, Vec<u8>)], key: &[Datum], after: Option<u64>) -> DbResult<usize> {
+    if let Some(child) = after {
+        for (i, (_, it)) in items.iter().enumerate() {
+            let (_, payload) = decode_item(it)?;
+            if crate::bytes::le_u64(payload, 0)? == child {
+                return Ok(i + 1);
+            }
+        }
+    }
+    Ok(items.partition_point(|(k, _)| cmp_keys(k, key) != Ordering::Greater))
+}
+
 /// A handle binding a B-tree index relation to its machinery.
 pub struct BTree<'a> {
     /// The shared buffer cache.
@@ -265,23 +285,26 @@ impl<'a> BTree<'a> {
         self.stats.btree.inserts.bump();
         let item = encode_item(key, &tid.encode());
         let (leaf, path) = self.descend(key)?;
-        self.insert_into_node(leaf, path, key, &item)
+        self.insert_into_node(leaf, path, key, &item, None)
     }
 
     /// Inserts an encoded item into a node, splitting upward as needed.
+    /// `after` is set when the item is the fence of a new right sibling of
+    /// child `after` (see [`insert_pos`]).
     fn insert_into_node(
         &self,
         blk: u64,
         mut path: Vec<u64>,
         key: &[Datum],
         item: &[u8],
+        after: Option<u64>,
     ) -> DbResult<()> {
         let pref = self.pool.get_page(self.smgr, self.dev, self.rel, blk)?;
         let _order = crate::lock::order::token(crate::lock::order::BTREE_PAGE);
         let mut pbuf = pref.write();
         let data = pbuf.data_mut();
         if page::fits(data, item.len()) {
-            match Self::insert_sorted(data, key, item)? {
+            match Self::insert_sorted(data, key, item, after)? {
                 Sorted::Appended(slot) => self.log_append(data, blk, slot, item)?,
                 Sorted::Rewrote => self.log_image(data, blk)?,
             }
@@ -296,7 +319,7 @@ impl<'a> BTree<'a> {
             let (k, _) = decode_item(it)?;
             items.push((k, it.to_vec()));
         }
-        let pos = items.partition_point(|(k, _)| cmp_keys(k, key) != Ordering::Greater);
+        let pos = insert_pos(&items, key, after)?;
         items.insert(pos, (key.to_vec(), item.to_vec()));
         let mid = items.len() / 2;
 
@@ -337,7 +360,7 @@ impl<'a> BTree<'a> {
         // Propagate the fence for the new right node.
         let fence = encode_item(&split_key, &right_blk.to_le_bytes());
         match path.pop() {
-            Some(parent) => self.insert_into_node(parent, path, &split_key, &fence),
+            Some(parent) => self.insert_into_node(parent, path, &split_key, &fence, Some(blk)),
             None => {
                 // Splitting the root: make a new root over both halves.
                 let (new_root, root_ref) = self.pool.new_page(self.smgr, self.dev, self.rel)?;
@@ -368,17 +391,23 @@ impl<'a> BTree<'a> {
     /// Slotted pages append items; to preserve sorted order under arbitrary
     /// interleavings we rewrite the page when the insertion point is not at
     /// the end. Pages are 8 KB and in cache, so this is a memcpy, not I/O.
-    fn insert_sorted(data: &mut [u8], key: &[Datum], item: &[u8]) -> DbResult<Sorted> {
+    fn insert_sorted(
+        data: &mut [u8],
+        key: &[Datum],
+        item: &[u8],
+        after: Option<u64>,
+    ) -> DbResult<Sorted> {
         let n = page::nslots(data);
         let mut at_end = true;
         for s in (0..n).rev() {
             // Compare against the last *live* item; a dead trailing slot
             // must not mask an ordering violation.
             if let Some(last) = page::item(data, s) {
-                let (k, _) = decode_item(last)?;
-                if cmp_keys(&k, key) == Ordering::Greater {
-                    at_end = false;
-                }
+                let (k, payload) = decode_item(last)?;
+                at_end = match after {
+                    Some(child) => crate::bytes::le_u64(payload, 0)? == child,
+                    None => cmp_keys(&k, key) != Ordering::Greater,
+                };
                 break;
             }
         }
@@ -392,7 +421,7 @@ impl<'a> BTree<'a> {
             let (k, _) = decode_item(it)?;
             items.push((k, it.to_vec()));
         }
-        let pos = items.partition_point(|(k, _)| cmp_keys(k, key) != Ordering::Greater);
+        let pos = insert_pos(&items, key, after)?;
         items.insert(pos, (key.to_vec(), item.to_vec()));
         page::init(data, SPECIAL_SIZE);
         write_node_meta(data, &meta);
@@ -925,6 +954,33 @@ mod tests {
         assert_eq!(bt.search(&ikey(42)).unwrap().len(), 2000);
         assert!(bt.search(&ikey(41)).unwrap().is_empty());
         assert!(bt.search(&ikey(43)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn duplicate_pileup_keeps_fences_in_sibling_order() {
+        // The naming index under a directory that is made and removed over
+        // and over: one (parent, name) key piles up between distinct keys.
+        let fx = Fixture::new();
+        let bt = fx.btree();
+        let key = |p: u32, n: &str| vec![Datum::Oid(p), Datum::Text(n.into())];
+        for i in 0..6000u32 {
+            if i % 3 == 0 {
+                bt.insert(&key(1, "spare"), Tid::new(i, 0)).unwrap();
+            } else {
+                bt.insert(&key(2, &format!("f{i}")), Tid::new(i, 1)).unwrap();
+            }
+        }
+        let (findings, entries) = bt.check("naming_dir_idx");
+        assert!(findings.is_empty(), "{findings:?}");
+        assert_eq!(entries.len(), 6000);
+        assert_eq!(bt.search(&key(1, "spare")).unwrap().len(), 2000);
+        for i in (0..6000u32).filter(|i| i % 3 != 0) {
+            assert_eq!(
+                bt.search(&key(2, &format!("f{i}"))).unwrap(),
+                vec![Tid::new(i, 1)],
+                "f{i}"
+            );
+        }
     }
 
     #[test]

@@ -51,6 +51,70 @@ pub(crate) fn le_u64(b: &[u8], off: usize) -> DbResult<u64> {
     }
 }
 
+/// FNV-1a over `data`: the checksum of the log, the metadata journal and
+/// the wire protocol.
+pub(crate) fn fnv1a(data: &[u8]) -> u32 {
+    let mut h: u32 = 0x811c_9dc5;
+    for &b in data {
+        h ^= b as u32;
+        h = h.wrapping_mul(0x0100_0193);
+    }
+    h
+}
+
+/// A bounds-checked little-endian reader over a byte string: a read past
+/// the end is `Corrupt`, never a panic.
+pub(crate) struct Cursor<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
+        Cursor { buf, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub(crate) fn take(&mut self, n: usize) -> DbResult<&'a [u8]> {
+        let end = self.pos.checked_add(n);
+        match end.and_then(|e| self.buf.get(self.pos..e)) {
+            Some(s) => {
+                self.pos += n;
+                Ok(s)
+            }
+            None => Err(short("field", self.buf.len(), self.pos, n)),
+        }
+    }
+
+    pub(crate) fn u8(&mut self) -> DbResult<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u16(&mut self) -> DbResult<u16> {
+        le_u16(self.take(2)?, 0)
+    }
+
+    pub(crate) fn u32(&mut self) -> DbResult<u32> {
+        le_u32(self.take(4)?, 0)
+    }
+
+    pub(crate) fn u64(&mut self) -> DbResult<u64> {
+        le_u64(self.take(8)?, 0)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string.
+    pub(crate) fn str(&mut self) -> DbResult<String> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| DbError::Corrupt("bad utf8 in metadata".into()))
+    }
+
+    /// Whether every byte has been consumed.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos >= self.buf.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

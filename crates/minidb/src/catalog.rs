@@ -1,10 +1,14 @@
 //! The system catalog: relations, types, functions, and rules.
 //!
 //! POSTGRES keeps catalogs in ordinary relations; here they are kept as an
-//! explicitly serialized structure persisted on the catalog device, which
-//! keeps bootstrap simple while preserving what matters for the paper:
-//! catalog contents survive crashes, and types/functions/rules are
-//! first-class registered objects.
+//! explicitly serialized structure in a [`crate::journal::MetaJournal`] on
+//! the catalog device, which keeps bootstrap simple while preserving what
+//! matters for the paper: catalog contents survive crashes, and
+//! types/functions/rules are first-class registered objects. As a
+//! POSTGRES DDL statement inserts one `pg_class` tuple, a persist here
+//! journals only the relation entries that changed (see
+//! [`Catalog::take_delta`]), so creating a file costs O(1), not
+//! O(namespace).
 //!
 //! Function *bodies* are Rust callables and cannot be serialized; like
 //! POSTGRES's dynamically loaded C functions, the catalog persists each
@@ -12,8 +16,9 @@
 //! implementation is re-resolved from the in-process registry
 //! ([`crate::funcs::FunctionRegistry`]) when invoked after a restart.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
+use crate::bytes::Cursor;
 use crate::datum::{Schema, TypeId};
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, Oid, RelId};
@@ -112,6 +117,15 @@ pub struct RuleEntry {
     pub action: String,
 }
 
+/// What changed since the catalog was last persisted.
+#[derive(Debug, Default)]
+pub struct CatalogChanges {
+    upserts: HashSet<RelId>,
+    removes: HashSet<RelId>,
+    /// A type, function or rule changed: only a full image will do.
+    full: bool,
+}
+
 /// The catalog proper.
 #[derive(Debug, Default)]
 pub struct Catalog {
@@ -122,6 +136,7 @@ pub struct Catalog {
     type_by_name: HashMap<String, TypeId>,
     procs: HashMap<String, ProcEntry>,
     rules: Vec<RuleEntry>,
+    changes: CatalogChanges,
 }
 
 impl Catalog {
@@ -143,6 +158,11 @@ impl Catalog {
         oid
     }
 
+    /// Makes sure `oid` is never allocated.
+    pub fn reserve_oid(&mut self, oid: Oid) {
+        self.next_oid = self.next_oid.max(oid.0.saturating_add(1));
+    }
+
     /// Registers a relation entry.
     pub fn add_relation(&mut self, entry: RelationEntry) -> DbResult<()> {
         if self.rel_by_name.contains_key(&entry.name) {
@@ -152,6 +172,8 @@ impl Catalog {
             )));
         }
         self.rel_by_name.insert(entry.name.clone(), entry.id);
+        self.changes.upserts.insert(entry.id);
+        self.changes.removes.remove(&entry.id);
         self.relations.insert(entry.id, entry);
         Ok(())
     }
@@ -163,10 +185,13 @@ impl Catalog {
             .remove(&id)
             .ok_or_else(|| DbError::NotFound(format!("relation {id}")))?;
         self.rel_by_name.remove(&entry.name);
+        self.changes.upserts.remove(&id);
+        self.changes.removes.insert(id);
         // Detach from any table that listed this as an index.
         if let Some(info) = &entry.index {
             if let Some(table) = self.relations.get_mut(&info.table) {
                 table.indexes.retain(|&i| i != id);
+                self.changes.upserts.insert(info.table);
             }
         }
         Ok(entry)
@@ -179,11 +204,14 @@ impl Catalog {
             .ok_or_else(|| DbError::NotFound(format!("relation {id}")))
     }
 
-    /// Mutable lookup by oid.
+    /// Mutable lookup by oid; marks the entry changed.
     pub fn relation_mut(&mut self, id: RelId) -> DbResult<&mut RelationEntry> {
-        self.relations
+        let entry = self
+            .relations
             .get_mut(&id)
-            .ok_or_else(|| DbError::NotFound(format!("relation {id}")))
+            .ok_or_else(|| DbError::NotFound(format!("relation {id}")))?;
+        self.changes.upserts.insert(id);
+        Ok(entry)
     }
 
     /// Looks up a relation by name.
@@ -215,6 +243,7 @@ impl Catalog {
             },
         );
         self.type_by_name.insert(name.to_string(), id);
+        self.changes.full = true;
         Ok(id)
     }
 
@@ -254,6 +283,7 @@ impl Catalog {
             )));
         }
         self.procs.insert(entry.name.clone(), entry);
+        self.changes.full = true;
         Ok(())
     }
 
@@ -275,6 +305,7 @@ impl Catalog {
             return Err(DbError::AlreadyExists(format!("rule \"{}\"", rule.name)));
         }
         self.rules.push(rule);
+        self.changes.full = true;
         Ok(())
     }
 
@@ -285,6 +316,7 @@ impl Catalog {
         if self.rules.len() == before {
             return Err(DbError::NotFound(format!("rule \"{name}\"")));
         }
+        self.changes.full = true;
         Ok(())
     }
 
@@ -391,44 +423,91 @@ impl Catalog {
         out
     }
 
+    /// Takes the changes since the last call. Returns them encoded as a
+    /// journal delta — `next_oid`, the removed oids, then each changed
+    /// relation entry in full — or `None` when only a full image will do,
+    /// plus the changes themselves for [`Catalog::restore_changes`].
+    pub fn take_delta(&mut self) -> (Option<Vec<u8>>, CatalogChanges) {
+        let changes = std::mem::take(&mut self.changes);
+        if changes.full {
+            return (None, changes);
+        }
+        let mut out = Vec::new();
+        out.extend_from_slice(&self.next_oid.to_le_bytes());
+        let mut removes: Vec<_> = changes.removes.iter().map(|r| r.0).collect();
+        removes.sort_unstable();
+        out.extend_from_slice(&(removes.len() as u32).to_le_bytes());
+        for id in removes {
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+        let mut upserts: Vec<_> = changes
+            .upserts
+            .iter()
+            .filter_map(|id| self.relations.get(id))
+            .collect();
+        upserts.sort_by_key(|r| r.id.0);
+        out.extend_from_slice(&(upserts.len() as u32).to_le_bytes());
+        for r in upserts {
+            put_relation(&mut out, r);
+        }
+        (Some(out), changes)
+    }
+
+    /// Puts back changes whose persist failed, so the next persist carries
+    /// them again (as of the entries' state then).
+    pub fn restore_changes(&mut self, taken: CatalogChanges) {
+        for id in taken.upserts {
+            if self.relations.contains_key(&id) {
+                self.changes.upserts.insert(id);
+            }
+        }
+        for id in taken.removes {
+            if !self.relations.contains_key(&id) {
+                self.changes.removes.insert(id);
+            }
+        }
+        self.changes.full |= taken.full;
+    }
+
+    /// Replays one [`Catalog::take_delta`] record over an image at least as
+    /// old as the state it was taken from.
+    pub fn apply_delta(&mut self, buf: &[u8]) -> DbResult<()> {
+        let mut cur = Cursor::new(buf);
+        self.next_oid = self.next_oid.max(cur.u32()?);
+        for _ in 0..cur.u32()? {
+            let id = Oid(cur.u32()?);
+            if let Some(e) = self.relations.remove(&id) {
+                if self.rel_by_name.get(&e.name) == Some(&id) {
+                    self.rel_by_name.remove(&e.name);
+                }
+            }
+        }
+        for _ in 0..cur.u32()? {
+            let e = get_relation(&mut cur)?;
+            if let Some(old) = self.relations.get(&e.id) {
+                if old.name != e.name && self.rel_by_name.get(&old.name) == Some(&e.id) {
+                    self.rel_by_name.remove(&old.name);
+                }
+            }
+            self.rel_by_name.insert(e.name.clone(), e.id);
+            self.relations.insert(e.id, e);
+        }
+        if !cur.at_end() {
+            return Err(DbError::Corrupt("trailing bytes in catalog delta".into()));
+        }
+        Ok(())
+    }
+
     /// Serializes the whole catalog.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
         out.extend_from_slice(&self.next_oid.to_le_bytes());
 
         let mut rels: Vec<_> = self.relations.values().collect();
         rels.sort_by_key(|r| r.id.0);
         out.extend_from_slice(&(rels.len() as u32).to_le_bytes());
         for r in rels {
-            out.extend_from_slice(&r.id.0.to_le_bytes());
-            put_str(&mut out, &r.name);
-            out.push(match r.kind {
-                RelKind::Heap => 0,
-                RelKind::BTreeIndex => 1,
-            });
-            out.push(r.device.0);
-            out.extend_from_slice(&r.schema.encode());
-            match &r.index {
-                None => out.push(0),
-                Some(info) => {
-                    out.push(1);
-                    out.extend_from_slice(&info.table.0.to_le_bytes());
-                    out.extend_from_slice(&(info.key_columns.len() as u16).to_le_bytes());
-                    for &c in &info.key_columns {
-                        out.extend_from_slice(&(c as u16).to_le_bytes());
-                    }
-                }
-            }
-            out.extend_from_slice(&(r.indexes.len() as u16).to_le_bytes());
-            for i in &r.indexes {
-                out.extend_from_slice(&i.0.to_le_bytes());
-            }
-            out.extend_from_slice(&r.archive.map(|a| a.0).unwrap_or(0).to_le_bytes());
-            out.push(r.no_history as u8);
+            put_relation(&mut out, r);
         }
 
         let mut types: Vec<_> = self.types.values().collect();
@@ -467,89 +546,17 @@ impl Catalog {
 
     /// Deserializes a catalog from [`Catalog::encode`] output.
     pub fn decode(buf: &[u8]) -> DbResult<Catalog> {
-        let corrupt = || DbError::Corrupt("truncated catalog".into());
-        let mut pos = 0usize;
-        macro_rules! take {
-            ($n:expr) => {{
-                let s = buf.get(pos..pos + $n).ok_or_else(corrupt)?;
-                pos += $n;
-                s
-            }};
-        }
-        macro_rules! get_u32 {
-            () => {
-                u32::from_le_bytes(take!(4).try_into().unwrap())
-            };
-        }
-        macro_rules! get_u16 {
-            () => {
-                u16::from_le_bytes(take!(2).try_into().unwrap())
-            };
-        }
-        macro_rules! get_str {
-            () => {{
-                let len = get_u32!() as usize;
-                String::from_utf8(take!(len).to_vec())
-                    .map_err(|_| DbError::Corrupt("bad utf8 in catalog".into()))?
-            }};
-        }
-
+        let mut cur = Cursor::new(buf);
         let mut cat = Catalog::new();
-        cat.next_oid = get_u32!();
+        cat.next_oid = cur.u32()?;
 
-        let nrels = get_u32!();
-        for _ in 0..nrels {
-            let id = Oid(get_u32!());
-            let name = get_str!();
-            let kind = match take!(1)[0] {
-                0 => RelKind::Heap,
-                1 => RelKind::BTreeIndex,
-                k => return Err(DbError::Corrupt(format!("bad relkind {k}"))),
-            };
-            let device = DeviceId(take!(1)[0]);
-            let schema = Schema::decode(buf, &mut pos)?;
-            let index = match take!(1)[0] {
-                0 => None,
-                1 => {
-                    let table = Oid(get_u32!());
-                    let ncols = get_u16!() as usize;
-                    let mut key_columns = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        key_columns.push(get_u16!() as usize);
-                    }
-                    Some(IndexInfo { table, key_columns })
-                }
-                k => return Err(DbError::Corrupt(format!("bad index flag {k}"))),
-            };
-            let nidx = get_u16!() as usize;
-            let mut indexes = Vec::with_capacity(nidx);
-            for _ in 0..nidx {
-                indexes.push(Oid(get_u32!()));
-            }
-            let archive_raw = get_u32!();
-            let archive = if archive_raw == 0 {
-                None
-            } else {
-                Some(Oid(archive_raw))
-            };
-            let no_history = take!(1)[0] != 0;
-            cat.add_relation(RelationEntry {
-                id,
-                name,
-                kind,
-                device,
-                schema,
-                index,
-                indexes,
-                archive,
-                no_history,
-            })?;
+        for _ in 0..cur.u32()? {
+            cat.add_relation(get_relation(&mut cur)?)?;
         }
 
-        let ntypes = get_u32!();
-        for _ in 0..ntypes {
-            let id = TypeId(get_u32!());
-            let name = get_str!();
+        for _ in 0..cur.u32()? {
+            let id = TypeId(cur.u32()?);
+            let name = cur.str()?;
             cat.types.insert(
                 id,
                 TypeEntry {
@@ -560,17 +567,14 @@ impl Catalog {
             cat.type_by_name.insert(name, id);
         }
 
-        let nprocs = get_u32!();
-        for _ in 0..nprocs {
-            let name = get_str!();
-            let nargs = get_u16!() as usize;
-            let ret = TypeId(get_u32!());
-            let impl_key = get_str!();
-            let op_raw = get_u32!();
-            let operates_on = if op_raw == 0 {
-                None
-            } else {
-                Some(TypeId(op_raw))
+        for _ in 0..cur.u32()? {
+            let name = cur.str()?;
+            let nargs = cur.u16()? as usize;
+            let ret = TypeId(cur.u32()?);
+            let impl_key = cur.str()?;
+            let operates_on = match cur.u32()? {
+                0 => None,
+                t => Some(TypeId(t)),
             };
             cat.procs.insert(
                 name.clone(),
@@ -584,18 +588,17 @@ impl Catalog {
             );
         }
 
-        let nrules = get_u32!();
-        for _ in 0..nrules {
-            let name = get_str!();
-            let on_rel = Oid(get_u32!());
-            let event = match take!(1)[0] {
+        for _ in 0..cur.u32()? {
+            let name = cur.str()?;
+            let on_rel = Oid(cur.u32()?);
+            let event = match cur.u8()? {
                 0 => RuleEvent::OnAccess,
                 1 => RuleEvent::OnUpdate,
                 2 => RuleEvent::Periodic,
                 k => return Err(DbError::Corrupt(format!("bad rule event {k}"))),
             };
-            let qual = get_str!();
-            let action = get_str!();
+            let qual = cur.str()?;
+            let action = cur.str()?;
             cat.rules.push(RuleEntry {
                 name,
                 on_rel,
@@ -604,8 +607,89 @@ impl Catalog {
                 action,
             });
         }
+        cat.changes = CatalogChanges::default();
         Ok(cat)
     }
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// One relation entry, as both images and deltas carry it.
+fn put_relation(out: &mut Vec<u8>, r: &RelationEntry) {
+    out.extend_from_slice(&r.id.0.to_le_bytes());
+    put_str(out, &r.name);
+    out.push(match r.kind {
+        RelKind::Heap => 0,
+        RelKind::BTreeIndex => 1,
+    });
+    out.push(r.device.0);
+    out.extend_from_slice(&r.schema.encode());
+    match &r.index {
+        None => out.push(0),
+        Some(info) => {
+            out.push(1);
+            out.extend_from_slice(&info.table.0.to_le_bytes());
+            out.extend_from_slice(&(info.key_columns.len() as u16).to_le_bytes());
+            for &c in &info.key_columns {
+                out.extend_from_slice(&(c as u16).to_le_bytes());
+            }
+        }
+    }
+    out.extend_from_slice(&(r.indexes.len() as u16).to_le_bytes());
+    for i in &r.indexes {
+        out.extend_from_slice(&i.0.to_le_bytes());
+    }
+    out.extend_from_slice(&r.archive.map(|a| a.0).unwrap_or(0).to_le_bytes());
+    out.push(r.no_history as u8);
+}
+
+fn get_relation(cur: &mut Cursor) -> DbResult<RelationEntry> {
+    let id = Oid(cur.u32()?);
+    let name = cur.str()?;
+    let kind = match cur.u8()? {
+        0 => RelKind::Heap,
+        1 => RelKind::BTreeIndex,
+        k => return Err(DbError::Corrupt(format!("bad relkind {k}"))),
+    };
+    let device = DeviceId(cur.u8()?);
+    let schema = Schema::decode(cur.buf, &mut cur.pos)?;
+    let index = match cur.u8()? {
+        0 => None,
+        1 => {
+            let table = Oid(cur.u32()?);
+            let ncols = cur.u16()? as usize;
+            let mut key_columns = Vec::with_capacity(ncols);
+            for _ in 0..ncols {
+                key_columns.push(cur.u16()? as usize);
+            }
+            Some(IndexInfo { table, key_columns })
+        }
+        k => return Err(DbError::Corrupt(format!("bad index flag {k}"))),
+    };
+    let nidx = cur.u16()? as usize;
+    let mut indexes = Vec::with_capacity(nidx);
+    for _ in 0..nidx {
+        indexes.push(Oid(cur.u32()?));
+    }
+    let archive = match cur.u32()? {
+        0 => None,
+        a => Some(Oid(a)),
+    };
+    let no_history = cur.u8()? != 0;
+    Ok(RelationEntry {
+        id,
+        name,
+        kind,
+        device,
+        schema,
+        index,
+        indexes,
+        archive,
+        no_history,
+    })
 }
 
 #[cfg(test)]
@@ -798,6 +882,75 @@ mod tests {
         let mut dec = dec;
         let fresh = dec.alloc_oid();
         assert!(fresh.0 >= cat.next_oid);
+    }
+
+    #[test]
+    fn deltas_replay_onto_an_older_image() {
+        let mut cat = Catalog::new();
+        for i in 0..50 {
+            let pad = heap_entry(&mut cat, &format!("pad{i}"));
+            cat.add_relation(pad).unwrap();
+        }
+        let t = heap_entry(&mut cat, "t");
+        let tid = t.id;
+        cat.add_relation(t).unwrap();
+        let image = cat.encode();
+        cat.take_delta();
+        let idx = cat.alloc_oid();
+        cat.add_relation(RelationEntry {
+            id: idx,
+            name: "t_idx".into(),
+            kind: RelKind::BTreeIndex,
+            device: DeviceId::DEFAULT,
+            schema: Schema::default(),
+            index: Some(IndexInfo {
+                table: tid,
+                key_columns: vec![0],
+            }),
+            indexes: vec![],
+            archive: None,
+            no_history: false,
+        })
+        .unwrap();
+        cat.relation_mut(tid).unwrap().indexes.push(idx);
+        let (d1, _) = cat.take_delta();
+        let u = heap_entry(&mut cat, "u");
+        cat.add_relation(u).unwrap();
+        cat.remove_relation(idx).unwrap();
+        let (d2, _) = cat.take_delta();
+        let (d1, d2) = (d1.unwrap(), d2.unwrap());
+        // Only the changed entries travel: `u`, `t` and a removed oid.
+        assert!(d2.len() * 10 < image.len(), "{} of {}", d2.len(), image.len());
+        let mut back = Catalog::decode(&image).unwrap();
+        back.apply_delta(&d1).unwrap();
+        back.apply_delta(&d2).unwrap();
+        assert_eq!(back.encode(), cat.encode());
+        // Replaying onto a newer image changes nothing.
+        let mut again = Catalog::decode(&cat.encode()).unwrap();
+        again.apply_delta(&d2).unwrap();
+        assert_eq!(again.encode(), cat.encode());
+        for cut in 0..d2.len() {
+            let mut c = Catalog::decode(&image).unwrap();
+            assert!(c.apply_delta(&d2[..cut]).is_err());
+        }
+        // Types, functions and rules travel only in full images.
+        cat.define_type("tm").unwrap();
+        assert!(cat.take_delta().0.is_none());
+    }
+
+    #[test]
+    fn restored_changes_ride_the_next_delta() {
+        let mut cat = Catalog::new();
+        let image = cat.encode();
+        let t = heap_entry(&mut cat, "t");
+        cat.add_relation(t).unwrap();
+        let (_, taken) = cat.take_delta();
+        // The persist failed: the next delta must still carry `t`.
+        cat.restore_changes(taken);
+        let (delta, _) = cat.take_delta();
+        let mut back = Catalog::decode(&image).unwrap();
+        back.apply_delta(&delta.unwrap()).unwrap();
+        assert!(back.relation_by_name("t").is_ok());
     }
 
     #[test]

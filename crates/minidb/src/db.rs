@@ -40,7 +40,8 @@ use crate::heap::Heap;
 use crate::ids::{DeviceId, RelId, Tid, XactId};
 use crate::lock::{LockManager, LockMode};
 use crate::recovery::Redo;
-use crate::smgr::{read_meta, shared_device, write_meta, GenericManager, SharedDevice, Smgr};
+use crate::journal::MetaJournal;
+use crate::smgr::{shared_device, GenericManager, SharedDevice, Smgr};
 use crate::wal::{Wal, WalRecord};
 use crate::stats::{
     DeviceIoStats, StatsRegistry, StatsSnapshot, VirtualRowsFn, VirtualTable, VirtualTables,
@@ -162,7 +163,10 @@ pub(crate) struct DbInner {
     pub(crate) wal: Arc<Wal>,
     pub(crate) redo: Arc<Redo>,
     ckpt: Arc<CheckpointState>,
-    catalog_dev: SharedDevice,
+    /// The catalog's journal, spanning the whole catalog device. Held
+    /// across a persist (rank: `catalog`) so records reach it in the order
+    /// their changes were taken.
+    catalog_journal: Mutex<MetaJournal>,
 }
 
 impl DbInner {
@@ -208,12 +212,29 @@ pub struct Db {
     pub(crate) inner: Arc<DbInner>,
 }
 
+/// A non-owning handle on a [`Db`]: it keeps neither the database nor its
+/// checkpointer and I/O threads alive.
+#[derive(Clone)]
+pub struct WeakDb(Weak<DbInner>);
+
+impl WeakDb {
+    /// The database, while some [`Db`] handle still owns it.
+    pub fn upgrade(&self) -> Option<Db> {
+        self.0.upgrade().map(|inner| Db { inner })
+    }
+}
+
 impl Db {
+    /// A handle that does not keep the database alive.
+    pub fn downgrade(&self) -> WeakDb {
+        WeakDb(Arc::downgrade(&self.inner))
+    }
+
     /// Opens a *fresh* database over an already-populated device switch.
     ///
     /// `log_dev` holds the transaction status file and `catalog_dev` the
-    /// serialized catalog; both must be dedicated (the first blocks are
-    /// overwritten).
+    /// catalog's metadata journal; both must be dedicated (the journal
+    /// spans the whole catalog device).
     pub fn open(
         clock: SimClock,
         mut smgr: Smgr,
@@ -222,6 +243,9 @@ impl Db {
         config: DbConfig,
     ) -> DbResult<Db> {
         let xlog = XactLog::create(log_dev.clone())?;
+        let catalog = Catalog::new();
+        let cat_blocks = catalog_dev.lock().nblocks();
+        let catalog_journal = MetaJournal::format(catalog_dev, 0, cat_blocks, &catalog.encode())?;
         let stats = Arc::new(StatsRegistry::new());
         let wal = Arc::new(Wal::create(log_dev, Arc::clone(&stats))?);
         wal.set_buffer_cap(config.wal_buffer_size as u64);
@@ -249,7 +273,7 @@ impl Db {
                 smgr,
                 xlog,
                 locks,
-                catalog: RwLock::new(Catalog::new()),
+                catalog: RwLock::new(catalog),
                 funcs: FunctionRegistry::with_builtins(),
                 stats,
                 virtuals: VirtualTables::new(),
@@ -257,11 +281,10 @@ impl Db {
                 wal,
                 redo,
                 ckpt,
-                catalog_dev,
+                catalog_journal: Mutex::new(catalog_journal),
                 config,
             }),
         };
-        db.persist_catalog()?;
         db.spawn_checkpointer();
         Ok(db)
     }
@@ -280,9 +303,20 @@ impl Db {
         config: DbConfig,
     ) -> DbResult<Db> {
         let xlog = XactLog::recover(log_dev.clone())?;
-        let cat_bytes = read_meta(&catalog_dev, 0)?
-            .ok_or_else(|| DbError::Corrupt("no catalog found on catalog device".into()))?;
-        let catalog = Catalog::decode(&cat_bytes)?;
+        let cat_blocks = catalog_dev.lock().nblocks();
+        let (catalog_journal, image, records) = MetaJournal::open(catalog_dev, 0, cat_blocks)?;
+        let mut catalog = Catalog::decode(&image)?;
+        for rec in &records {
+            catalog.apply_delta(rec)?;
+        }
+        // A crash between a relation's creation on its device and its
+        // catalog record leaves an orphan on the device: never hand its oid
+        // out again.
+        for dev in smgr.devices() {
+            for rel in smgr.with(dev, |m| Ok(m.relations()))? {
+                catalog.reserve_oid(rel);
+            }
+        }
         let stats = Arc::new(StatsRegistry::new());
         let (wal, records) = Wal::recover(log_dev, Arc::clone(&stats))?;
         let wal = Arc::new(wal);
@@ -354,7 +388,7 @@ impl Db {
                 wal,
                 redo,
                 ckpt,
-                catalog_dev,
+                catalog_journal: Mutex::new(catalog_journal),
                 config,
             }),
         };
@@ -512,12 +546,23 @@ impl Db {
         Ok(oid)
     }
 
-    /// Serializes the catalog to its device.
+    /// Makes every catalog change so far durable: journals the changed
+    /// entries as one record (or, when compaction is due or a type,
+    /// function or rule changed, a full image) and syncs the catalog
+    /// device once.
     pub fn persist_catalog(&self) -> DbResult<()> {
-        let bytes = self.inner.catalog.read().encode();
-        write_meta(&self.inner.catalog_dev, 0, &bytes)?;
-        self.inner.catalog_dev.lock().sync()?;
-        Ok(())
+        let _order = crate::lock::order::token(crate::lock::order::CATALOG);
+        let mut journal = self.inner.catalog_journal.lock();
+        let (delta, taken) = self.inner.catalog.write().take_delta();
+        let image = || self.inner.catalog.read().encode();
+        let res = match delta {
+            Some(delta) => journal.persist(&delta, image),
+            None => journal.rewrite(&image()),
+        };
+        if res.is_err() {
+            self.inner.catalog.write().restore_changes(taken);
+        }
+        res
     }
 
     /// Flushes and empties every cache (buffer pool, device managers) —

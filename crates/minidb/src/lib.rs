@@ -64,6 +64,7 @@ pub mod funcs;
 pub mod heap;
 pub mod ids;
 pub mod io;
+pub(crate) mod journal;
 pub mod lock;
 pub mod page;
 pub mod query;
@@ -79,7 +80,7 @@ pub use buffer::{BufferPool, BufferStats, PinnedPage, BERKELEY_BUFFERS, DEFAULT_
 pub use catalog::{IndexInfo, RelKind, RelationEntry};
 pub use check::Finding;
 pub use datum::{decode_row, encode_row, Column, Datum, Row, Schema, TypeId};
-pub use db::{Db, DbConfig, Session};
+pub use db::{Db, DbConfig, Session, WeakDb};
 pub use error::{DbError, DbResult};
 pub use funcs::{FuncDef, FunctionRegistry};
 pub use ids::{DeviceId, Oid, RelId, Tid, XactId};

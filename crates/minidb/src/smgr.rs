@@ -9,23 +9,25 @@
 //! Two managers are provided:
 //!
 //! * [`GenericManager`] — magnetic disk, NVRAM, tape: a block map plus a
-//!   bump allocator, with its own metadata persisted in a reserved region of
-//!   the device.
+//!   bump allocator handing out extents that grow with each relation, with
+//!   the map kept in a [`MetaJournal`] at the front of the device.
 //! * [`JukeboxManager`] — the Sony WORM autochanger: allocation in *extents*
 //!   of physically contiguous pages, a magnetic-disk staging cache in front
 //!   of the robot (10 MB by default, like the paper's), and write-once
 //!   handling: a logical block whose platter copy was already burned gets
 //!   *remapped* to a fresh physical block on rewrite.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 use simdev::{BlockDevice, DevError};
 
+use crate::bytes::Cursor;
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, Oid, RelId};
+use crate::journal::{self, MetaJournal};
 
 /// A device shared between managers, the transaction log, and tests.
 pub type SharedDevice = Arc<Mutex<dyn BlockDevice>>;
@@ -88,43 +90,131 @@ pub trait DeviceManager: Send {
     fn set_extent_size(&mut self, _pages: u64) {}
 }
 
-/// Blocks reserved at the front of a device for manager metadata.
-const META_BLOCKS: u64 = 64;
 const META_MAGIC: u32 = 0x534D_4752; // "SMGR"
 
-#[derive(Debug, Default, Clone)]
+/// A manager's block map: every relation's logical → physical block list,
+/// plus what changed since the last persist, so the metadata journal
+/// records only that.
+#[derive(Debug, Default)]
 struct RelMap {
     next_free: u64,
     rels: HashMap<RelId, Vec<u64>>,
+    /// Relations whose block list changed since the last persist, each with
+    /// how many leading blocks the journal already holds unchanged.
+    changed: HashMap<RelId, usize>,
+    /// Relations dropped since the last persist.
+    dropped: HashSet<RelId>,
 }
 
-/// Bounds-checked little-endian cursor over a metadata byte string.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Block lists are stored run-length encoded: the allocator hands out
+/// mostly-contiguous runs, so a 25 MB relation costs a handful of
+/// `(start, len)` pairs instead of thousands of raw block numbers.
+fn put_runs(out: &mut Vec<u8>, blocks: &[u64]) {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &b in blocks {
+        match runs.last_mut() {
+            Some((start, len)) if *start + *len == b => *len += 1,
+            _ => runs.push((b, 1)),
+        }
+    }
+    out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
+    for (start, len) in runs {
+        out.extend_from_slice(&start.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+    }
 }
 
-impl Cursor<'_> {
-    fn u32(&mut self) -> DbResult<u32> {
-        let v = crate::bytes::le_u32(self.buf, self.pos)?;
-        self.pos += 4;
-        Ok(v)
+/// Appends the runs [`put_runs`] wrote to `blocks`, which must then hold
+/// exactly `want` blocks.
+fn get_runs(cur: &mut Cursor, blocks: &mut Vec<u64>, want: usize) -> DbResult<()> {
+    let disagree = || DbError::Corrupt("block run lengths disagree".into());
+    for _ in 0..cur.u64()? {
+        let start = cur.u64()?;
+        let len = cur.u64()?;
+        let end = start.checked_add(len).ok_or_else(disagree)?;
+        if len > want.saturating_sub(blocks.len()) as u64 {
+            return Err(disagree());
+        }
+        blocks.extend(start..end);
     }
-
-    fn u64(&mut self) -> DbResult<u64> {
-        let v = crate::bytes::le_u64(self.buf, self.pos)?;
-        self.pos += 8;
-        Ok(v)
+    if blocks.len() != want {
+        return Err(disagree());
     }
+    Ok(())
 }
 
 impl RelMap {
-    /// Block lists are stored run-length encoded: the bump allocator hands
-    /// out mostly-contiguous runs, so a 25 MB relation costs a handful of
-    /// `(start, len)` pairs instead of thousands of raw block numbers —
-    /// keeping the per-commit metadata write to a block or two.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn new(next_free: u64) -> RelMap {
+        RelMap {
+            next_free,
+            ..RelMap::default()
+        }
+    }
+
+    fn blocks(&self, rel: RelId) -> DbResult<&Vec<u64>> {
+        self.rels
+            .get(&rel)
+            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))
+    }
+
+    fn blocks_mut(&mut self, rel: RelId) -> DbResult<&mut Vec<u64>> {
+        self.rels
+            .get_mut(&rel)
+            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))
+    }
+
+    fn create(&mut self, rel: RelId) -> DbResult<()> {
+        if self.rels.contains_key(&rel) {
+            return Err(DbError::AlreadyExists(format!("relation {rel}")));
+        }
+        self.rels.insert(rel, Vec::new());
+        self.changed.insert(rel, 0);
+        Ok(())
+    }
+
+    fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
+        self.rels
+            .remove(&rel)
+            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
+        self.changed.remove(&rel);
+        self.dropped.insert(rel);
+        Ok(())
+    }
+
+    /// Appends physical block `phys` to `rel`, returning its logical number.
+    fn push(&mut self, rel: RelId, phys: u64) -> DbResult<u64> {
+        let blocks = self.blocks_mut(rel)?;
+        let n = blocks.len();
+        blocks.push(phys);
+        self.changed.entry(rel).or_insert(n);
+        Ok(n as u64)
+    }
+
+    /// Empties `rel`, returning the blocks it had.
+    fn truncate(&mut self, rel: RelId) -> DbResult<Vec<u64>> {
+        let blocks = std::mem::take(self.blocks_mut(rel)?);
+        self.changed.insert(rel, 0);
+        Ok(blocks)
+    }
+
+    /// Points logical block `idx` of `rel` at `phys`.
+    fn remap(&mut self, rel: RelId, idx: usize, phys: u64) -> DbResult<()> {
+        let slot = self
+            .blocks_mut(rel)?
+            .get_mut(idx)
+            .ok_or_else(|| DbError::NotFound(format!("block {idx} of relation {rel}")))?;
+        *slot = phys;
+        let kept = self.changed.entry(rel).or_insert(idx);
+        *kept = (*kept).min(idx);
+        Ok(())
+    }
+
+    fn is_dirty(&self) -> bool {
+        !self.changed.is_empty() || !self.dropped.is_empty()
+    }
+
+    /// The full image: every relation's block runs.
+    fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&META_MAGIC.to_le_bytes());
         out.extend_from_slice(&self.next_free.to_le_bytes());
         out.extend_from_slice(&(self.rels.len() as u32).to_le_bytes());
@@ -133,141 +223,133 @@ impl RelMap {
         for (rel, blocks) in rels {
             out.extend_from_slice(&rel.0.to_le_bytes());
             out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-            let mut runs: Vec<(u64, u64)> = Vec::new();
-            for &b in blocks {
-                match runs.last_mut() {
-                    Some((start, len)) if *start + *len == b => *len += 1,
-                    _ => runs.push((b, 1)),
-                }
-            }
-            out.extend_from_slice(&(runs.len() as u64).to_le_bytes());
-            for (start, len) in runs {
-                out.extend_from_slice(&start.to_le_bytes());
-                out.extend_from_slice(&len.to_le_bytes());
-            }
+            put_runs(out, blocks);
         }
-        out
     }
 
-    fn decode(buf: &[u8]) -> DbResult<RelMap> {
-        let corrupt = || DbError::Corrupt("truncated device metadata".into());
-        // A tiny cursor over `buf`; every read is bounds-checked so a
-        // truncated or scribbled metadata region decodes to `Corrupt`.
-        let mut cur = Cursor { buf, pos: 0 };
-        let magic = cur.u32()?;
-        if magic != META_MAGIC {
+    fn decode(cur: &mut Cursor) -> DbResult<RelMap> {
+        if cur.u32()? != META_MAGIC {
             return Err(DbError::Corrupt("bad device metadata magic".into()));
         }
-        let next_free = cur.u64()?;
+        let mut map = RelMap::new(cur.u64()?);
         let nrels = cur.u32()?;
-        let mut rels = HashMap::new();
         for _ in 0..nrels {
             let rel = Oid(cur.u32()?);
             let n = cur.u64()? as usize;
-            let nruns = cur.u64()?;
             let mut blocks = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..nruns {
-                let start = cur.u64()?;
-                let len = cur.u64()?;
-                for b in start..start.checked_add(len).ok_or_else(corrupt)? {
-                    blocks.push(b);
-                }
-            }
-            if blocks.len() != n {
-                return Err(DbError::Corrupt("relmap run lengths disagree".into()));
-            }
-            rels.insert(rel, blocks);
+            get_runs(cur, &mut blocks, n)?;
+            map.rels.insert(rel, blocks);
         }
-        Ok(RelMap { next_free, rels })
+        Ok(map)
+    }
+
+    /// The delta since the last persist: `next_free`, the drops, then each
+    /// changed relation's unchanged-prefix length, new length, and the runs
+    /// past that prefix.
+    fn encode_delta(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.next_free.to_le_bytes());
+        let mut dropped: Vec<_> = self.dropped.iter().map(|r| r.0).collect();
+        dropped.sort_unstable();
+        out.extend_from_slice(&(dropped.len() as u32).to_le_bytes());
+        for rel in dropped {
+            out.extend_from_slice(&rel.to_le_bytes());
+        }
+        let mut changed: Vec<_> = self.changed.iter().collect();
+        changed.sort_by_key(|(r, _)| r.0);
+        out.extend_from_slice(&(changed.len() as u32).to_le_bytes());
+        for (rel, &kept) in changed {
+            let blocks = self.rels.get(rel).map_or(&[][..], |b| &b[..]);
+            let kept = kept.min(blocks.len());
+            out.extend_from_slice(&rel.0.to_le_bytes());
+            out.extend_from_slice(&(kept as u64).to_le_bytes());
+            out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
+            put_runs(out, &blocks[kept..]);
+        }
+    }
+
+    /// Replays one [`RelMap::encode_delta`] record.
+    fn apply_delta(&mut self, cur: &mut Cursor) -> DbResult<()> {
+        self.next_free = cur.u64()?;
+        for _ in 0..cur.u32()? {
+            self.rels.remove(&Oid(cur.u32()?));
+        }
+        for _ in 0..cur.u32()? {
+            let rel = Oid(cur.u32()?);
+            let kept = cur.u64()? as usize;
+            let len = cur.u64()? as usize;
+            let blocks = self.rels.entry(rel).or_default();
+            if kept > blocks.len() {
+                return Err(DbError::Corrupt(format!(
+                    "relmap delta keeps {kept} blocks of {rel}, which has {}",
+                    blocks.len()
+                )));
+            }
+            blocks.truncate(kept);
+            get_runs(cur, blocks, len)?;
+        }
+        Ok(())
+    }
+
+    fn clear_changes(&mut self) {
+        self.changed.clear();
+        self.dropped.clear();
     }
 }
 
-/// Writes a metadata byte string into a device's reserved region
-/// (used by device managers for block maps and by [`crate::db::Db`] for the
-/// catalog).
-pub fn write_meta(dev: &SharedDevice, first_block: u64, meta: &[u8]) -> DbResult<()> {
-    let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
-    let mut d = dev.lock();
-    let bs = d.block_size();
-    let capacity = (META_BLOCKS as usize - 1) * bs;
-    if meta.len() > capacity {
-        return Err(DbError::Device(DevError::NoSpace));
-    }
-    let mut hdr = vec![0u8; bs];
-    hdr[..8].copy_from_slice(&(meta.len() as u64).to_le_bytes());
-    d.write_block(first_block, &hdr)?;
-    for (i, chunk) in meta.chunks(bs).enumerate() {
-        let mut blk = vec![0u8; bs];
-        blk[..chunk.len()].copy_from_slice(chunk);
-        d.write_block(first_block + 1 + i as u64, &blk)?;
-    }
-    Ok(())
-}
-
-/// Reads back a metadata byte string written by [`write_meta`], or `None`
-/// if never written.
-pub fn read_meta(dev: &SharedDevice, first_block: u64) -> DbResult<Option<Vec<u8>>> {
-    let _order = crate::lock::order::token(crate::lock::order::SMGR_DEVICE);
-    let mut d = dev.lock();
-    let bs = d.block_size();
-    let mut hdr = vec![0u8; bs];
-    d.read_block(first_block, &mut hdr)?;
-    let len = crate::bytes::le_u64(&hdr, 0)? as usize;
-    if len == 0 {
-        return Ok(None);
-    }
-    if len > (META_BLOCKS as usize - 1) * bs {
-        return Err(DbError::Corrupt("metadata length out of range".into()));
-    }
-    let mut out = vec![0u8; len];
-    let mut blk = vec![0u8; bs];
-    for (i, chunk) in out.chunks_mut(bs).enumerate() {
-        d.read_block(first_block + 1 + i as u64, &mut blk)?;
-        chunk.copy_from_slice(&blk[..chunk.len()]);
-    }
-    Ok(Some(out))
+/// An extent a relation is still filling.
+#[derive(Debug, Clone, Copy)]
+struct OpenExtent {
+    first: u64,
+    used: u64,
+    /// The size it was claimed with: extents grow with their relation, so
+    /// this need not be the manager's current extent size.
+    size: u64,
 }
 
 /// The standard manager for rewritable random-access media.
 pub struct GenericManager {
     dev: SharedDevice,
     map: RelMap,
-    meta_dirty: bool,
-    /// Pages claimed per allocation; 1 keeps the legacy bump allocator.
+    journal: MetaJournal,
+    /// Largest extent in pages; 1 keeps the block-at-a-time bump allocator.
     extent_size: u64,
-    /// Partially filled extent per relation: (first physical block, used).
-    /// Not persisted — a restart wastes the tail of each open extent, which
-    /// the run-length meta encoding absorbs for free.
-    open_extents: HashMap<RelId, (u64, u64)>,
+    /// Partially filled extent per relation. Not persisted — a restart
+    /// wastes the tail of each open extent, which the run-length map
+    /// encoding absorbs for free.
+    open_extents: HashMap<RelId, OpenExtent>,
 }
 
 impl GenericManager {
-    /// Formats `dev` (reserving the metadata region) and returns a manager.
+    /// Formats `dev` (reserving its metadata journal region at the front)
+    /// and returns a manager.
     pub fn format(dev: SharedDevice) -> DbResult<GenericManager> {
-        let map = RelMap {
-            next_free: META_BLOCKS,
-            rels: HashMap::new(),
-        };
-        let mut mgr = GenericManager {
-            dev,
-            map,
-            meta_dirty: true,
-            extent_size: 1,
-            open_extents: HashMap::new(),
-        };
-        mgr.sync()?;
-        Ok(mgr)
-    }
-
-    /// Re-attaches to a previously formatted device, reloading its metadata.
-    pub fn attach(dev: SharedDevice) -> DbResult<GenericManager> {
-        let meta = read_meta(&dev, 0)?
-            .ok_or_else(|| DbError::Corrupt("device was never formatted".into()))?;
-        let map = RelMap::decode(&meta)?;
+        let region = journal::region_for(dev.lock().nblocks());
+        let map = RelMap::new(region);
+        let mut image = Vec::new();
+        map.encode(&mut image);
+        let journal = MetaJournal::format(dev.clone(), 0, region, &image)?;
         Ok(GenericManager {
             dev,
             map,
-            meta_dirty: false,
+            journal,
+            extent_size: 1,
+            open_extents: HashMap::new(),
+        })
+    }
+
+    /// Re-attaches to a previously formatted device, replaying its block
+    /// map from the metadata journal.
+    pub fn attach(dev: SharedDevice) -> DbResult<GenericManager> {
+        let region = journal::region_for(dev.lock().nblocks());
+        let (journal, image, records) = MetaJournal::open(dev.clone(), 0, region)?;
+        let mut map = RelMap::decode(&mut Cursor::new(&image))?;
+        for rec in &records {
+            map.apply_delta(&mut Cursor::new(rec))?;
+        }
+        Ok(GenericManager {
+            dev,
+            map,
+            journal,
             extent_size: 1,
             open_extents: HashMap::new(),
         })
@@ -275,33 +357,40 @@ impl GenericManager {
 
     /// Allocates the next physical block for `rel`: from the relation's
     /// open extent when one has room, otherwise by claiming a fresh extent
-    /// from the bump allocator. Falls back to single-block allocation when
-    /// the device cannot fit a whole extent, so the last stretch of a disk
-    /// is still usable.
+    /// from the bump allocator. Extents grow with the relation — the next
+    /// one is as large as the relation already is, capped at the extent
+    /// size (1, 1, 2, 4, 8, then 16 pages) — so the many one-page
+    /// relations of a namespace do not each claim a whole extent. Falls
+    /// back to single-block allocation when the device cannot fit the
+    /// extent, so the last stretch of a disk is still usable.
     fn alloc_physical(&mut self, rel: RelId) -> DbResult<u64> {
-        let extent = self.extent_size.max(1);
-        if extent > 1 {
-            if let Some((first, used)) = self.open_extents.get_mut(&rel) {
-                if *used < extent {
-                    let phys = *first + *used;
-                    *used += 1;
-                    return Ok(phys);
-                }
+        if let Some(e) = self.open_extents.get_mut(&rel) {
+            if e.used < e.size {
+                let phys = e.first + e.used;
+                e.used += 1;
+                return Ok(phys);
             }
         }
+        let have = self.map.blocks(rel)?.len() as u64;
+        let want = self.extent_size.min(have).max(1);
         let first = self.map.next_free;
         let nblocks = self.dev.lock().nblocks();
-        let span = if extent > 1 && first + extent <= nblocks {
-            extent
-        } else {
-            1
-        };
-        if first + span > nblocks {
+        let size = if first + want <= nblocks { want } else { 1 };
+        if first + size > nblocks {
             return Err(DbError::Device(DevError::NoSpace));
         }
-        self.map.next_free = first + span;
-        if span > 1 {
-            self.open_extents.insert(rel, (first, 1));
+        self.map.next_free = first + size;
+        if size > 1 {
+            self.open_extents.insert(
+                rel,
+                OpenExtent {
+                    first,
+                    used: 1,
+                    size,
+                },
+            );
+        } else {
+            self.open_extents.remove(&rel);
         }
         Ok(first)
     }
@@ -326,21 +415,12 @@ impl DeviceManager for GenericManager {
     }
 
     fn create_rel(&mut self, rel: RelId) -> DbResult<()> {
-        if self.map.rels.contains_key(&rel) {
-            return Err(DbError::AlreadyExists(format!("relation {rel}")));
-        }
-        self.map.rels.insert(rel, Vec::new());
-        self.meta_dirty = true;
-        Ok(())
+        self.map.create(rel)
     }
 
     fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
-        self.map
-            .rels
-            .remove(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
+        self.map.drop_rel(rel)?;
         self.open_extents.remove(&rel);
-        self.meta_dirty = true;
         Ok(())
     }
 
@@ -349,43 +429,18 @@ impl DeviceManager for GenericManager {
     }
 
     fn nblocks(&self, rel: RelId) -> DbResult<u64> {
-        Ok(self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?
-            .len() as u64)
+        Ok(self.map.blocks(rel)?.len() as u64)
     }
 
     fn extend(&mut self, rel: RelId, page: &[u8]) -> DbResult<u64> {
-        if !self.map.rels.contains_key(&rel) {
-            return Err(DbError::NotFound(format!("relation {rel}")));
-        }
         let phys = self.alloc_physical(rel)?;
         self.dev.lock().write_block(phys, page)?;
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.push(phys);
-        self.meta_dirty = true;
-        Ok(blocks.len() as u64 - 1)
+        self.map.push(rel, phys)
     }
 
     fn extend_blank(&mut self, rel: RelId) -> DbResult<u64> {
-        if !self.map.rels.contains_key(&rel) {
-            return Err(DbError::NotFound(format!("relation {rel}")));
-        }
         let phys = self.alloc_physical(rel)?;
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.push(phys);
-        self.meta_dirty = true;
-        Ok(blocks.len() as u64 - 1)
+        self.map.push(rel, phys)
     }
 
     fn read(&mut self, rel: RelId, blkno: u64, buf: &mut [u8]) -> DbResult<()> {
@@ -401,23 +456,26 @@ impl DeviceManager for GenericManager {
     }
 
     fn truncate(&mut self, rel: RelId) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.clear();
+        self.map.truncate(rel)?;
         self.open_extents.remove(&rel);
-        self.meta_dirty = true;
         Ok(())
     }
 
     fn sync(&mut self) -> DbResult<()> {
-        if self.meta_dirty {
-            write_meta(&self.dev, 0, &self.map.encode())?;
-            self.meta_dirty = false;
+        if !self.map.is_dirty() {
+            self.dev.lock().sync()?;
+            return Ok(());
         }
-        self.dev.lock().sync()?;
+        // The journal's own sync covers the data blocks written before it.
+        let mut delta = Vec::new();
+        self.map.encode_delta(&mut delta);
+        let map = &self.map;
+        self.journal.persist(&delta, || {
+            let mut image = Vec::new();
+            map.encode(&mut image);
+            image
+        })?;
+        self.map.clear_changes();
         Ok(())
     }
 
@@ -450,6 +508,27 @@ impl Default for JukeboxConfig {
     }
 }
 
+/// What follows the block map in jukebox images and deltas: the next
+/// extent, then burned blocks (all of them in an image, the new ones in a
+/// delta).
+fn put_extras(out: &mut Vec<u8>, next_extent: u64, burned: &[u64]) {
+    out.extend_from_slice(&next_extent.to_le_bytes());
+    out.extend_from_slice(&(burned.len() as u64).to_le_bytes());
+    for b in burned {
+        out.extend_from_slice(&b.to_le_bytes());
+    }
+}
+
+/// A jukebox manager's full metadata image.
+fn jukebox_image(map: &RelMap, burned: &HashSet<u64>, next_extent: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    map.encode(&mut out);
+    let mut burned: Vec<_> = burned.iter().copied().collect();
+    burned.sort_unstable();
+    put_extras(&mut out, next_extent, &burned);
+    out
+}
+
 /// Cache entry state for one jukebox logical block staged on magnetic disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StageState {
@@ -465,13 +544,16 @@ pub struct JukeboxManager {
     staging: SharedDevice,
     config: JukeboxConfig,
     map: RelMap,
+    /// The metadata journal on the staging disk.
+    journal: MetaJournal,
     /// Physical platter blocks that have been burned (write-once consumed).
-    burned: std::collections::HashSet<u64>,
+    burned: HashSet<u64>,
+    /// Blocks burned since the last persist.
+    burned_new: Vec<u64>,
     /// physical jukebox block -> (staging disk block, state), plus LRU order.
     cache: HashMap<u64, (u64, StageState)>,
     lru: std::collections::VecDeque<u64>,
     free_staging: Vec<u64>,
-    meta_dirty: bool,
     /// Next unallocated extent number.
     next_extent: u64,
     /// Partially filled extent per relation: (first physical block, used).
@@ -480,34 +562,36 @@ pub struct JukeboxManager {
 
 impl JukeboxManager {
     /// Creates a manager over a fresh jukebox with `staging` as its cache
-    /// disk. Manager metadata lives on the staging disk (platters are
-    /// write-once and unsuitable for mutable metadata).
+    /// disk. Manager metadata lives in a journal at the front of the
+    /// staging disk (platters are write-once and unsuitable for mutable
+    /// metadata); the cache slots follow it.
     pub fn format(
         jukebox: SharedDevice,
         staging: SharedDevice,
         config: JukeboxConfig,
     ) -> DbResult<JukeboxManager> {
-        let free_staging = (META_BLOCKS..META_BLOCKS + config.cache_blocks)
-            .rev()
-            .collect();
-        let mut mgr = JukeboxManager {
+        let region = journal::region_for(staging.lock().nblocks());
+        let map = RelMap::default();
+        let burned = HashSet::new();
+        let image = jukebox_image(&map, &burned, 0);
+        Ok(JukeboxManager {
+            journal: MetaJournal::format(staging.clone(), 0, region, &image)?,
+            free_staging: (region..region + config.cache_blocks).rev().collect(),
             jukebox,
             staging,
             config,
-            map: RelMap::default(),
-            burned: std::collections::HashSet::new(),
+            map,
+            burned,
+            burned_new: Vec::new(),
             cache: HashMap::new(),
             lru: std::collections::VecDeque::new(),
-            free_staging,
-            meta_dirty: true,
             next_extent: 0,
             open_extents: HashMap::new(),
-        };
-        mgr.sync()?;
-        Ok(mgr)
+        })
     }
 
-    /// Re-attaches after a restart, reloading metadata from the staging disk.
+    /// Re-attaches after a restart, replaying metadata from the staging
+    /// disk's journal.
     ///
     /// The staging cache itself is volatile across restarts in this model:
     /// `sync` burns all dirty staged blocks, so a synced manager loses only
@@ -517,53 +601,39 @@ impl JukeboxManager {
         staging: SharedDevice,
         config: JukeboxConfig,
     ) -> DbResult<JukeboxManager> {
-        let meta = read_meta(&staging, 0)?
-            .ok_or_else(|| DbError::Corrupt("jukebox staging disk was never formatted".into()))?;
-        let (map, burned, next_extent) = Self::decode_meta(&meta)?;
-        let free_staging = (META_BLOCKS..META_BLOCKS + config.cache_blocks)
-            .rev()
-            .collect();
-        Ok(JukeboxManager {
+        let region = journal::region_for(staging.lock().nblocks());
+        let (journal, image, records) = MetaJournal::open(staging.clone(), 0, region)?;
+        let mut cur = Cursor::new(&image);
+        let map = RelMap::decode(&mut cur)?;
+        let mut mgr = JukeboxManager {
+            journal,
+            free_staging: (region..region + config.cache_blocks).rev().collect(),
             jukebox,
             staging,
             config,
             map,
-            burned,
+            burned: HashSet::new(),
+            burned_new: Vec::new(),
             cache: HashMap::new(),
             lru: std::collections::VecDeque::new(),
-            free_staging,
-            meta_dirty: false,
-            next_extent,
+            next_extent: 0,
             open_extents: HashMap::new(),
-        })
+        };
+        mgr.read_extras(&mut cur)?;
+        for rec in &records {
+            let mut cur = Cursor::new(rec);
+            mgr.map.apply_delta(&mut cur)?;
+            mgr.read_extras(&mut cur)?;
+        }
+        Ok(mgr)
     }
 
-    fn encode_meta(&self) -> Vec<u8> {
-        let mut out = self.map.encode();
-        out.extend_from_slice(&self.next_extent.to_le_bytes());
-        out.extend_from_slice(&(self.burned.len() as u64).to_le_bytes());
-        let mut burned: Vec<_> = self.burned.iter().copied().collect();
-        burned.sort_unstable();
-        for b in burned {
-            out.extend_from_slice(&b.to_le_bytes());
+    fn read_extras(&mut self, cur: &mut Cursor) -> DbResult<()> {
+        self.next_extent = cur.u64()?;
+        for _ in 0..cur.u64()? {
+            self.burned.insert(cur.u64()?);
         }
-        out
-    }
-
-    fn decode_meta(buf: &[u8]) -> DbResult<(RelMap, std::collections::HashSet<u64>, u64)> {
-        let map = RelMap::decode(buf)?;
-        // Re-encode to find where the RelMap ended.
-        let map_len = map.encode().len();
-        let corrupt = || DbError::Corrupt("truncated jukebox metadata".into());
-        let rest = buf.get(map_len..).ok_or_else(corrupt)?;
-        let mut cur = Cursor { buf: rest, pos: 0 };
-        let next_extent = cur.u64()?;
-        let n = cur.u64()? as usize;
-        let mut burned = std::collections::HashSet::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            burned.insert(cur.u64()?);
-        }
-        Ok((map, burned, next_extent))
+        Ok(())
     }
 
     /// Allocates a fresh physical platter block for `rel`, extent-wise.
@@ -618,8 +688,9 @@ impl JukeboxManager {
         let mut buf = vec![0u8; bs];
         self.staging.lock().read_block(staging_slot, &mut buf)?;
         self.jukebox.lock().write_block(phys, &buf)?;
-        self.burned.insert(phys);
-        self.meta_dirty = true;
+        if self.burned.insert(phys) {
+            self.burned_new.push(phys);
+        }
         Ok(())
     }
 
@@ -635,21 +706,12 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn create_rel(&mut self, rel: RelId) -> DbResult<()> {
-        if self.map.rels.contains_key(&rel) {
-            return Err(DbError::AlreadyExists(format!("relation {rel}")));
-        }
-        self.map.rels.insert(rel, Vec::new());
-        self.meta_dirty = true;
-        Ok(())
+        self.map.create(rel)
     }
 
     fn drop_rel(&mut self, rel: RelId) -> DbResult<()> {
-        self.map
-            .rels
-            .remove(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
+        self.map.drop_rel(rel)?;
         self.open_extents.remove(&rel);
-        self.meta_dirty = true;
         Ok(())
     }
 
@@ -658,39 +720,21 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn nblocks(&self, rel: RelId) -> DbResult<u64> {
-        Ok(self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?
-            .len() as u64)
+        Ok(self.map.blocks(rel)?.len() as u64)
     }
 
     fn extend(&mut self, rel: RelId, page: &[u8]) -> DbResult<u64> {
-        if !self.map.rels.contains_key(&rel) {
-            return Err(DbError::NotFound(format!("relation {rel}")));
-        }
+        self.map.blocks(rel)?;
         let phys = self.alloc_physical(rel)?;
         let slot = self.grab_staging_slot()?;
         self.staging.lock().write_block(slot, page)?;
         self.cache.insert(phys, (slot, StageState::Dirty));
         self.touch_lru(phys);
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        blocks.push(phys);
-        self.meta_dirty = true;
-        Ok(blocks.len() as u64 - 1)
+        self.map.push(rel, phys)
     }
 
     fn read(&mut self, rel: RelId, blkno: u64, buf: &mut [u8]) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
+        let blocks = self.map.blocks(rel)?;
         let phys = *blocks
             .get(blkno as usize)
             .ok_or(DbError::Device(DevError::OutOfRange {
@@ -712,11 +756,7 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn write(&mut self, rel: RelId, blkno: u64, buf: &[u8]) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
+        let blocks = self.map.blocks(rel)?;
         let phys = *blocks
             .get(blkno as usize)
             .ok_or(DbError::Device(DevError::OutOfRange {
@@ -730,17 +770,11 @@ impl DeviceManager for JukeboxManager {
             // archiver is the intended writer here, so in practice this path
             // handles metadata-style rewrites).
             let new_phys = self.alloc_physical(rel)?;
-            let blocks = self
-                .map
-                .rels
-                .get_mut(&rel)
-                .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-            blocks[blkno as usize] = new_phys;
+            self.map.remap(rel, blkno as usize, new_phys)?;
             let slot = self.grab_staging_slot()?;
             self.staging.lock().write_block(slot, buf)?;
             self.cache.insert(new_phys, (slot, StageState::Dirty));
             self.touch_lru(new_phys);
-            self.meta_dirty = true;
             return Ok(());
         }
         match self.cache.get(&phys).copied() {
@@ -760,13 +794,7 @@ impl DeviceManager for JukeboxManager {
     }
 
     fn truncate(&mut self, rel: RelId) -> DbResult<()> {
-        let blocks = self
-            .map
-            .rels
-            .get_mut(&rel)
-            .ok_or_else(|| DbError::NotFound(format!("relation {rel}")))?;
-        let dropped: Vec<u64> = std::mem::take(blocks);
-        for phys in dropped {
+        for phys in self.map.truncate(rel)? {
             if let Some((slot, _)) = self.cache.remove(&phys) {
                 self.free_staging.push(slot);
                 if let Some(pos) = self.lru.iter().position(|&p| p == phys) {
@@ -775,7 +803,6 @@ impl DeviceManager for JukeboxManager {
             }
         }
         self.open_extents.remove(&rel);
-        self.meta_dirty = true;
         Ok(())
     }
 
@@ -800,10 +827,7 @@ impl DeviceManager for JukeboxManager {
                     continue; // Orphaned staged block (relation dropped).
                 };
                 let new_phys = self.alloc_physical(rel)?;
-                if let Some(blocks) = self.map.rels.get_mut(&rel) {
-                    blocks[idx] = new_phys;
-                }
-                self.meta_dirty = true;
+                self.map.remap(rel, idx, new_phys)?;
                 if let Some(e) = self.cache.remove(&phys) {
                     self.cache.insert(new_phys, e);
                 }
@@ -821,11 +845,19 @@ impl DeviceManager for JukeboxManager {
                 e.1 = StageState::Clean;
             }
         }
-        if self.meta_dirty {
-            write_meta(&self.staging, 0, &self.encode_meta())?;
-            self.meta_dirty = false;
+        if self.map.is_dirty() || !self.burned_new.is_empty() {
+            // The journal's sync covers the staged blocks written before it.
+            let mut delta = Vec::new();
+            self.map.encode_delta(&mut delta);
+            put_extras(&mut delta, self.next_extent, &self.burned_new);
+            let (map, burned, next_extent) = (&self.map, &self.burned, self.next_extent);
+            self.journal
+                .persist(&delta, || jukebox_image(map, burned, next_extent))?;
+            self.map.clear_changes();
+            self.burned_new.clear();
+        } else {
+            self.staging.lock().sync()?;
         }
-        self.staging.lock().sync()?;
         self.jukebox.lock().sync()?;
         Ok(())
     }
@@ -1398,15 +1430,119 @@ mod tests {
 
     #[test]
     fn relmap_encoding_roundtrips() {
-        let mut map = RelMap {
-            next_free: 99,
-            rels: HashMap::new(),
-        };
+        let mut map = RelMap::new(99);
         map.rels.insert(Oid(1), vec![64, 65, 70]);
         map.rels.insert(Oid(2), vec![]);
-        let dec = RelMap::decode(&map.encode()).unwrap();
+        let mut image = Vec::new();
+        map.encode(&mut image);
+        let dec = RelMap::decode(&mut Cursor::new(&image)).unwrap();
         assert_eq!(dec.next_free, 99);
         assert_eq!(dec.rels, map.rels);
-        assert!(RelMap::decode(&[1, 2, 3]).is_err());
+        assert!(RelMap::decode(&mut Cursor::new(&[1, 2, 3])).is_err());
+    }
+
+    #[test]
+    fn relmap_deltas_replay_onto_the_image() {
+        let mut map = RelMap::new(10);
+        map.create(Oid(1)).unwrap();
+        map.create(Oid(2)).unwrap();
+        map.push(Oid(1), 10).unwrap();
+        map.push(Oid(2), 11).unwrap();
+        let mut image = Vec::new();
+        map.encode(&mut image);
+        map.clear_changes();
+        let mut deltas = Vec::new();
+        for step in 0..3u64 {
+            map.push(Oid(1), 20 + step).unwrap();
+            match step {
+                0 => map.remap(Oid(1), 0, 30).unwrap(),
+                1 => map.drop_rel(Oid(2)).unwrap(),
+                _ => {
+                    map.create(Oid(3)).unwrap();
+                    map.truncate(Oid(1)).unwrap();
+                    map.push(Oid(1), 40).unwrap();
+                }
+            }
+            map.next_free = 50 + step;
+            let mut d = Vec::new();
+            map.encode_delta(&mut d);
+            deltas.push(d);
+            map.clear_changes();
+        }
+        let mut back = RelMap::decode(&mut Cursor::new(&image)).unwrap();
+        for d in &deltas {
+            back.apply_delta(&mut Cursor::new(d)).unwrap();
+        }
+        assert_eq!(back.rels, map.rels);
+        assert_eq!(back.next_free, 52);
+        for cut in 0..deltas[2].len() {
+            let mut b = RelMap::new(0);
+            let _ = b.apply_delta(&mut Cursor::new(&deltas[2][..cut])); // Must not panic.
+        }
+    }
+
+    #[test]
+    fn extents_grow_with_the_relation() {
+        let mut m = disk_mgr();
+        m.set_extent_size(16);
+        for rel in [Oid(1), Oid(2)] {
+            m.create_rel(rel).unwrap();
+        }
+        // Interleaved growth: each relation's runs double up to 16 pages.
+        for _ in 0..64 {
+            m.extend_blank(Oid(1)).unwrap();
+            m.extend_blank(Oid(2)).unwrap();
+        }
+        let runs = |rel| {
+            let mut out: Vec<u64> = Vec::new();
+            let mut prev = None;
+            for &b in m.map.blocks(rel).unwrap() {
+                match (prev, out.last_mut()) {
+                    (Some(p), Some(n)) if p + 1 == b => *n += 1,
+                    _ => out.push(1),
+                }
+                prev = Some(b);
+            }
+            out
+        };
+        assert_eq!(runs(Oid(1)), vec![1, 1, 2, 4, 8, 16, 16, 16]);
+        assert_eq!(runs(Oid(2)), vec![1, 1, 2, 4, 8, 16, 16, 16]);
+    }
+
+    #[test]
+    fn one_page_relations_cost_one_block_each() {
+        let mut m = disk_mgr();
+        m.set_extent_size(16);
+        let start = m.map.next_free;
+        for r in 0..100 {
+            m.create_rel(Oid(r)).unwrap();
+            m.extend_blank(Oid(r)).unwrap();
+        }
+        assert_eq!(m.map.next_free - start, 100);
+    }
+
+    #[test]
+    fn block_map_survives_reattach_across_compactions() {
+        let clock = SimClock::new();
+        let dev = shared_device(MagneticDisk::new(
+            "d",
+            clock,
+            DiskProfile::tiny_for_tests(8192),
+        ));
+        let mut m = GenericManager::format(dev.clone()).unwrap();
+        m.set_extent_size(16);
+        let first_epoch = m.journal.epoch();
+        for r in 0..4000u32 {
+            m.create_rel(Oid(r)).unwrap();
+            m.extend_blank(Oid(r)).unwrap();
+            if r % 3 == 0 {
+                m.drop_rel(Oid(r)).unwrap();
+            }
+            m.sync().unwrap();
+        }
+        assert!(m.journal.epoch() > first_epoch, "the log must have compacted");
+        let back = GenericManager::attach(dev).unwrap();
+        assert_eq!(back.map.rels, m.map.rels);
+        assert_eq!(back.map.next_free, m.map.next_free);
     }
 }

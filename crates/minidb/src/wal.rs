@@ -54,6 +54,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simdev::BLOCK_SIZE;
 
+use crate::bytes::fnv1a;
 use crate::error::{DbError, DbResult};
 use crate::ids::{DeviceId, Oid, RelId, XactId};
 use crate::page;
@@ -371,16 +372,6 @@ fn get_addr(body: &[u8]) -> DbResult<(DeviceId, RelId, u64)> {
         Oid(crate::bytes::le_u32(body, 1)?),
         crate::bytes::le_u64(body, 5)?,
     ))
-}
-
-/// FNV-1a over `data` (same family the wire protocol uses).
-fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// Where the WAL region starts on a log device of `nblocks`: a quarter of

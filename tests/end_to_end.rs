@@ -280,3 +280,25 @@ fn rename_into_own_subtree_rejected() {
     c.p_rename("/a", "/renamed").unwrap();
     assert_eq!(c.read_to_vec("/renamed/b/f", None).unwrap(), b"x");
 }
+
+#[test]
+fn dropped_testbed_frees_its_database() {
+    // The Table 2 functions live in the database's own registry; they must
+    // not own the file system (and so the database) they are registered in.
+    let tb = bench::testbed::InversionTestbed::paper();
+    let mut c = tb.local_client();
+    c.write_all("/f", CreateMode::default(), b"bytes").unwrap();
+    drop(c);
+    let weak = tb.fs.db().downgrade();
+    drop(tb);
+    // A checkpoint cycle in flight briefly owns the database; it lets go
+    // when the cycle ends.
+    let gone = (0..1_000_000).any(|_| {
+        let gone = weak.upgrade().is_none();
+        if !gone {
+            std::thread::yield_now();
+        }
+        gone
+    });
+    assert!(gone, "the database outlived every handle to it");
+}
